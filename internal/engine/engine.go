@@ -398,19 +398,8 @@ func mapWorkers[S, T any](o Options, n int,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Check for cancellation before paying setup cost (a pool
-			// lease can mean a full chip instantiation).
-			if failed.Load() || ctx.Err() != nil {
-				return
-			}
-			s, release, err := setup()
-			if err != nil {
-				setupErrs[w] = err
-				failed.Store(true)
-				abort()
-				return
-			}
-			defer release()
+			var s S
+			leased := false
 			for {
 				if failed.Load() || ctx.Err() != nil {
 					return
@@ -418,6 +407,20 @@ func mapWorkers[S, T any](o Options, n int,
 				i, ok := assign.next(w)
 				if !ok {
 					return
+				}
+				// Set up on the first assignment, not before: a worker
+				// the planner never feeds must not lease (a pool lease
+				// can mean a full chip instantiation).
+				if !leased {
+					st, release, err := setup()
+					if err != nil {
+						setupErrs[w] = err
+						failed.Store(true)
+						abort()
+						return
+					}
+					defer release()
+					s, leased = st, true
 				}
 				r, err := fn(ctx, s, i)
 				if err == nil {

@@ -635,6 +635,38 @@ func TestMapHarnessLeasesPerWorkerAndReturns(t *testing.T) {
 	}
 }
 
+// TestHarnessNoLeaseWithoutJob pins that a worker the planner never
+// feeds leases no harness: with these weights the weighted planner gives
+// worker 0 an empty block, so only two of the three workers may touch
+// the pool, for MapHarness and ReduceHarness alike.
+func TestHarnessNoLeaseWithoutJob(t *testing.T) {
+	weights := []float64{100, 1, 1, 1}
+	if b := weightedBounds(weights, 3); b[0][0] != b[0][1] {
+		t.Fatalf("bounds %v: worker 0 was meant to get an empty block", b)
+	}
+	cfg := config.SmallChip()
+	job := func(_ context.Context, h *core.Harness, i int) (int, error) { return i, nil }
+	runs := map[string]func(Options) error{
+		"MapHarness": func(o Options) error {
+			_, err := MapHarness(o, cfg, len(weights), job)
+			return err
+		},
+		"ReduceHarness": func(o Options) error {
+			return ReduceHarness(o, cfg, len(weights), job, func(int, int) error { return nil })
+		},
+	}
+	for name, run := range runs {
+		p := NewDevicePool()
+		o := Options{Workers: 3, Pool: p, Planner: PlanWeighted, Weights: weights}
+		if err := run(o); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st := p.Stats(); st.Created+st.Reused != 2 {
+			t.Fatalf("%s: stats = %+v, want 2 leases for 2 fed workers", name, st)
+		}
+	}
+}
+
 func TestMapHarnessSetupErrorSurfaces(t *testing.T) {
 	cfg := config.SmallChip()
 	cfg.SubarraySizes = []int{1} // breaks validation: sizes must sum to Rows

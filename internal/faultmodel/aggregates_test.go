@@ -61,10 +61,16 @@ func TestRetentionTiersMatchRetentionSec(t *testing.T) {
 	bits := cfg.Geometry.RowBits()
 	p := m.Profile(b, row)
 
-	// Lite tier: memoized per-bit values equal the pure function.
-	for _, i := range []int{0, 1, 63, 64, 100, bits - 1} {
-		if got, want := m.RetentionAt(p, i), m.RetentionSec(b, row, i); got != want {
-			t.Fatalf("bit %d: lite RetentionAt %v != RetentionSec %v", i, got, want)
+	// Lite tier: the screened scan equals the per-bit pure function.
+	data := make([]byte, cfg.Geometry.RowBytes())
+	for i := range data {
+		data[i] = byte(i * 37)
+	}
+	for _, elapsed := range []float64{0.1, 1, 10, 100, 1e4} {
+		for _, img := range [][]byte{nil, data} {
+			if got, want := m.RetentionLiteFlips(p, elapsed, 1, img, nil), bruteLiteFlips(m, p, b, row, elapsed, 1, img); !equalInts(got, want) {
+				t.Fatalf("elapsed %v: lite scan flips %v, per-bit scan %v", elapsed, got, want)
+			}
 		}
 	}
 
@@ -176,7 +182,7 @@ func BenchmarkProfileCompute(b *testing.B) {
 
 // TestRetentionConcurrentAccess exercises the retention tier's locking
 // under the race detector: profiles are shared, so concurrent lite scans,
-// per-bit reads and full-tier promotions of one row must be safe.
+// full-tier promotions and threshold-floor builds of one row must be safe.
 func TestRetentionConcurrentAccess(t *testing.T) {
 	cfg := config.SmallChip()
 	m := newModel(t, cfg)
@@ -190,15 +196,19 @@ func TestRetentionConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			switch g % 3 {
+			switch g % 4 {
 			case 0:
 				m.RetentionLiteFlips(p, 1e9, 1.0, nil, nil)
 			case 1:
-				if got, want := m.RetentionAt(p, g), m.RetentionSec(b, row, g); got != want {
-					panic("concurrent RetentionAt diverged from RetentionSec")
+				if !equalInts(m.RetentionLiteFlips(p, 100, 1, nil, nil), bruteLiteFlips(m, p, b, row, 100, 1, nil)) {
+					panic("concurrent lite scan diverged from RetentionSec")
 				}
-			default:
+			case 2:
 				m.RowMinRetention(b, row)
+			default:
+				if thr, _, byThr := m.Thresholds(p); float64(thr[byThr[0]]) < m.ThresholdFloor(p) {
+					panic("concurrent threshold floor above the row minimum")
+				}
 			}
 			if sec, _, _, full := m.RetentionPlan(p); full && sec[0] != m.RetentionSec(b, row, 0) {
 				panic("full-tier Sec diverged under concurrency")

@@ -16,16 +16,25 @@
 // floor. Data-dependent factors (neighbour coupling, intra-row pattern) are
 // applied by the device at sense time, because they depend on stored data.
 //
-// Row profiles additionally carry lazily-built aggregates — per-word
-// minimum thresholds, a threshold-sorted candidate index, and memoized
-// retention times with word/row minima — that let the device's sense fast
-// path skip work without changing a single output bit (see
-// internal/hbm/sense.go and DESIGN.md §8).
+// Row profiles additionally carry lazily-built aggregates — a row
+// threshold floor, per-word minimum thresholds, a threshold-sorted
+// candidate index, and retention times with word/row minima — that let
+// the device's sense fast path skip work without changing a single output
+// bit (see internal/hbm/sense.go and DESIGN.md §8).
+//
+// Every per-bit draw is a monotone function of one hash (Mix64 of the
+// coordinates, top 53 bits), so "can this bit flip?" is decided in hash
+// space with an integer compare, and the exact float pipeline runs only
+// for bits inside a thin guard band around the cutoff (ThresholdFloor,
+// RetentionLiteFlips).
 package faultmodel
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,6 +52,20 @@ const (
 	domBankJit   uint64 = 0x62616E6B6A697400 // "bankjit"
 	domRetention uint64 = 0x726574656E740000 // "retent"
 )
+
+// screenGuard sets the width of the guard band around every hash-space
+// screen: relative in the threshold floor, in z for the retention cut.
+// Each per-bit pipeline (inverse CDF, exp, clamps, float32 rounding) is
+// monotone in the bit's 53-bit hash except for Acklam's approximation
+// error (≤ 1.15e-9 relative in z, so ≤ ~1e-8 absolute for |z| ≤ 7.04
+// under the 1e-12 clamps, region seams included; rng's tests pin it) and
+// a few ulps of rounding (float32: 6e-8). The guard is over ten times
+// their sum, and a screen only decides bits that lie outside it.
+const screenGuard = 1e-6
+
+// hashSpace is the size of the 53-bit hash space the uniform draws use
+// (rng.Uniform01 reads h>>11).
+const hashSpace = uint64(1) << 53
 
 // DefaultCacheBytes is the approximate memory budget of a model's profile
 // cache. The entry capacity is derived from it so that small-geometry test
@@ -70,18 +93,20 @@ type cacheKey struct {
 // Slices are shared with the model's cache: callers must treat them as
 // read-only. The expensive per-bit aggregates — thresholds and retention
 // times, each a full pass of inverse-CDF and exp work — are built lazily
-// on first need (Model.Thresholds / Model.RetentionPlan): a row that is
-// only ever sensed without meaningful disturbance never pays for its
-// threshold index, and a row always sensed inside the refresh window
-// never pays for its retention times.
+// on first need (Model.Thresholds / Model.RetentionPlan): a row whose
+// disturbance never reaches its threshold floor never pays for its
+// threshold index, and a row scanned for retention at most once never
+// pays for its retention times.
 type RowProfile struct {
 	// TrueCell has bit i set when cell i is a true cell (charged at 1).
 	TrueCell []uint64
 
-	thrOnce sync.Once
-	thr     *thrProfile
-	retOnce sync.Once
-	ret     *retProfile
+	floorOnce sync.Once
+	floor     float64
+	thrOnce   sync.Once
+	thr       *thrProfile
+	retOnce   sync.Once
+	ret       *retProfile
 
 	// key records the row coordinates for the lazy builds.
 	key cacheKey
@@ -104,23 +129,27 @@ type thrProfile struct {
 }
 
 // retProfile holds the lazily-built retention state of one row. It has
-// two tiers. The lite tier memoizes individual bits on demand: a row's
-// first long-idle sense only evaluates the (expensive) lognormal for the
-// bits that are actually charged. A row scanned repeatedly is promoted to
-// the full tier, which completes every bit and derives the per-word and
-// per-row minima that let later scans skip work wholesale.
+// two tiers. The lite tier keeps no per-bit state: a row's first
+// long-idle sense screens its charged bits in hash space and evaluates the
+// (expensive) lognormal only for the few inside the guard band. A row
+// scanned repeatedly is promoted to the full tier, which computes every
+// bit and derives the per-word and per-row minima that let later scans
+// skip work wholesale.
 type retProfile struct {
-	// mu guards every field below: unlike the threshold tier (immutable
-	// after its sync.Once build), the retention tier mutates shared state
-	// incrementally, and profiles are shared between concurrent model
+	// prefix is the coordinate hash folded up to (but excluding) the bit
+	// index; logMedian caches log(MedianSec). Both are immutable after the
+	// profile's sync.Once build, so the lite scan reads them unlocked.
+	prefix    uint64
+	logMedian float64
+
+	// mu guards every field below: the promotion to the full tier mutates
+	// shared state, and profiles are shared between concurrent model
 	// users. The lock is taken once per scan, not per bit.
 	mu sync.Mutex
 	// Sec[i] is bit i's retention time at the reference temperature, equal
-	// to Model.RetentionSec(bank, row, i) bit for bit. Valid only where
-	// done is set (always, once full).
+	// to Model.RetentionSec(bank, row, i) bit for bit. Built at promotion
+	// to full.
 	Sec []float64
-	// done marks which Sec entries have been computed.
-	done []uint64
 	// WordMin[w] is the minimum Sec within 64-bit word w: when the elapsed
 	// time cannot reach a word's weakest cell, the whole word is skipped.
 	// Built at promotion to full.
@@ -133,10 +162,6 @@ type retProfile struct {
 	// scans counts retention scans over this row; the second scan
 	// triggers promotion to full.
 	scans int
-	// prefix is the coordinate hash folded up to (but excluding) the bit
-	// index; logMedian caches log(MedianSec).
-	prefix    uint64
-	logMedian float64
 }
 
 // IsTrue reports whether bit i is a true cell.
@@ -235,25 +260,94 @@ func (m *Model) computeProfile(b addr.BankAddr, physRow int) *RowProfile {
 	ch := m.cfg.Fault.Channels[b.Channel]
 	orientBase := rng.Combine(m.cfg.Seed, domOrient,
 		uint64(b.Channel), uint64(b.PseudoChannel), uint64(b.Bank), uint64(physRow))
-	trueFrac := ch.TrueCellFrac
-	for i := 0; i < bits; i++ {
-		if rng.Bool(rng.Mix64(orientBase+uint64(i)), trueFrac) {
-			prof.TrueCell[i>>6] |= 1 << (uint(i) % 64)
+	// rng.Bool(h, TrueCellFrac) in its exact integer form, branch-free:
+	// k and cut are below 2^54, so k-cut wraps to a set top bit exactly
+	// when k < cut.
+	cut := rng.BoolCut(ch.TrueCellFrac)
+	for w := range prof.TrueCell {
+		lo := w << 6
+		hi := min(lo+64, bits)
+		var word uint64
+		for i := lo; i < hi; i++ {
+			k := rng.Mix64(orientBase+uint64(i)) >> 11
+			word |= (k - cut) >> 63 << uint(i-lo)
 		}
+		prof.TrueCell[w] = word
 	}
 	return prof
+}
+
+// thrParams are a row's inputs to the per-bit threshold pipeline.
+type thrParams struct {
+	base                          uint64
+	scale, sigma, zFloor, hcFloor float64
+}
+
+func (m *Model) thrParams(key cacheKey) thrParams {
+	b, physRow := key.bank, key.row
+	ch := m.cfg.Fault.Channels[b.Channel]
+	f := m.cfg.Fault
+	return thrParams{
+		base: rng.Combine(m.cfg.Seed, domThreshold,
+			uint64(b.Channel), uint64(b.PseudoChannel), uint64(b.Bank), uint64(physRow)),
+		scale:   ch.MedianHC * m.rowScale(b, physRow),
+		sigma:   ch.Sigma,
+		zFloor:  f.ZFloor,
+		hcFloor: f.HCFloor,
+	}
+}
+
+// of is the per-bit threshold pipeline on bit hash h: inverse CDF, ZFloor
+// truncation, lognormal scaling, HCFloor clamp. With scale > 0 and
+// sigma > 0 it is monotone in h>>11 up to the error screenGuard covers.
+func (tp *thrParams) of(h uint64) float64 {
+	z := rng.Normal(h)
+	if z < tp.zFloor {
+		z = tp.zFloor
+	}
+	thr := tp.scale * math.Exp(tp.sigma*z)
+	if thr < tp.hcFloor {
+		thr = tp.hcFloor
+	}
+	return thr
+}
+
+// ThresholdFloor returns a lower bound on every bit's threshold in the
+// row — float64(Thr[i]) >= ThresholdFloor(p) for every bit i — at the
+// cost of one hash pass: the threshold pipeline is monotone in the bit
+// hash, so the row's smallest hash gives its smallest threshold, which is
+// then widened by the guard band (relative screenGuard·(1+sigma): the
+// inverse-CDF error enters through exp(sigma·z)). A sense whose screen
+// lies below the floor cannot flip a bit, so it never builds the
+// threshold tier. -Inf (no screen) when the pipeline is not monotone.
+func (m *Model) ThresholdFloor(p *RowProfile) float64 {
+	p.floorOnce.Do(func() {
+		tp := m.thrParams(p.key)
+		minH := ^uint64(0)
+		for i, n := 0, m.cfg.Geometry.RowBits(); i < n; i++ {
+			if h := rng.Mix64(tp.base + uint64(i)); h < minH {
+				minH = h
+			}
+		}
+		floor := tp.of(minH) * (1 - screenGuard*(1+tp.sigma))
+		if !(tp.scale > 0) || math.IsInf(tp.scale, 0) || math.IsNaN(floor) {
+			floor = math.Inf(-1)
+		}
+		p.floor = floor
+	})
+	return p.floor
 }
 
 // thresholds returns the lazily-built threshold aggregates of a profile.
 // The build — a per-bit pass of inverse-CDF and exp work plus a radix
 // argsort — is only paid for rows that are ever sensed with enough
-// accumulated disturbance to possibly flip; aggressor rows, whose
-// disturbance is cleared by their own activations, never need it.
+// accumulated disturbance to reach the row's ThresholdFloor; aggressor
+// rows, whose disturbance is cleared by their own activations, and rows
+// that the floor screens out never need it.
 func (m *Model) thresholds(p *RowProfile) *thrProfile {
 	p.thrOnce.Do(func() {
 		bits := m.cfg.Geometry.RowBits()
 		words := (bits + 63) / 64
-		b, physRow := p.key.bank, p.key.row
 		tp := &thrProfile{
 			Thr:     make([]float32, bits),
 			WordMin: make([]float32, words),
@@ -262,12 +356,7 @@ func (m *Model) thresholds(p *RowProfile) *thrProfile {
 		for w := range tp.WordMin {
 			tp.WordMin[w] = float32(math.Inf(1))
 		}
-		ch := m.cfg.Fault.Channels[b.Channel]
-		f := m.cfg.Fault
-		scale := ch.MedianHC * m.rowScale(b, physRow)
-		base := rng.Combine(m.cfg.Seed, domThreshold,
-			uint64(b.Channel), uint64(b.PseudoChannel), uint64(b.Bank), uint64(physRow))
-		sigma, zFloor, hcFloor := ch.Sigma, f.ZFloor, f.HCFloor
+		params := m.thrParams(p.key)
 		// Sort keys are packed (IEEE bits << 32 | index): thresholds are
 		// strictly positive, so their float32 bit patterns order exactly
 		// like the values and one integer sort yields the candidate index
@@ -276,15 +365,7 @@ func (m *Model) thresholds(p *RowProfile) *thrProfile {
 		tmp := keys[bits:]
 		keys = keys[:bits]
 		for i := 0; i < bits; i++ {
-			z := rng.Normal(rng.Mix64(base + uint64(i)))
-			if z < zFloor {
-				z = zFloor
-			}
-			thr := scale * math.Exp(sigma*z)
-			if thr < hcFloor {
-				thr = hcFloor
-			}
-			t32 := float32(thr)
+			t32 := float32(params.of(rng.Mix64(params.base + uint64(i))))
 			tp.Thr[i] = t32
 			if w := i >> 6; t32 < tp.WordMin[w] {
 				tp.WordMin[w] = t32
@@ -350,19 +431,15 @@ func radixSortUint64(keys, tmp []uint64) {
 	}
 }
 
-// retention returns the lazily-built retention aggregates of a profile,
-// computing them on first use. The build costs one per-bit pass of the
-// exact RetentionSec math plus a sort; it is only paid for rows whose
-// sense actually clears the retention floor gate (or via RowMinRetention).
+// retention returns the retention state of a profile. Creating it is
+// cheap (two hashes' worth of coordinate folding); the per-bit times are
+// only computed at promotion to the full tier (or via RowMinRetention).
 func (m *Model) retention(p *RowProfile) *retProfile {
 	p.retOnce.Do(func() {
-		bits := m.cfg.Geometry.RowBits()
 		b, physRow := p.key.bank, p.key.row
 		// Prefix-fold the coordinate hash: Combine is a left fold, so
 		// Mix64(prefix ^ bit) equals Combine(..., bit) exactly.
 		p.ret = &retProfile{
-			Sec:  make([]float64, bits),
-			done: make([]uint64, (bits+63)/64),
 			prefix: rng.Combine(m.cfg.Seed, domRetention,
 				uint64(b.Channel), uint64(b.PseudoChannel), uint64(b.Bank), uint64(physRow)),
 			logMedian: math.Log(m.cfg.Ret.MedianSec),
@@ -371,20 +448,14 @@ func (m *Model) retention(p *RowProfile) *retProfile {
 	return p.ret
 }
 
-// retSecAt returns bit i's retention time, computing and memoizing it on
-// first use — bit-identical to RetentionSec. The caller must hold rp.mu.
-func (m *Model) retSecAt(rp *retProfile, i int) float64 {
-	w, mask := i>>6, uint64(1)<<(uint(i)&63)
-	if rp.done[w]&mask != 0 {
-		return rp.Sec[i]
-	}
+// retSec is the per-bit retention pipeline on bit hash h — bit-identical
+// to RetentionSec.
+func (m *Model) retSec(rp *retProfile, h uint64) float64 {
 	r := m.cfg.Ret
-	t := math.Exp(rp.logMedian + r.Sigma*rng.Normal(rng.Mix64(rp.prefix^uint64(i))))
+	t := math.Exp(rp.logMedian + r.Sigma*rng.Normal(h))
 	if t < r.FloorSec {
 		t = r.FloorSec
 	}
-	rp.Sec[i] = t
-	rp.done[w] |= mask
 	return t
 }
 
@@ -397,13 +468,15 @@ func (m *Model) retentionFull(rp *retProfile) *retProfile {
 	}
 	bits := m.cfg.Geometry.RowBits()
 	words := (bits + 63) / 64
+	rp.Sec = make([]float64, bits)
 	rp.WordMin = make([]float64, words)
 	rp.MinSec = math.Inf(1)
 	for w := range rp.WordMin {
 		rp.WordMin[w] = math.Inf(1)
 	}
 	for i := 0; i < bits; i++ {
-		t := m.retSecAt(rp, i)
+		t := m.retSec(rp, rng.Mix64(rp.prefix^uint64(i)))
+		rp.Sec[i] = t
 		if w := i >> 6; t < rp.WordMin[w] {
 			rp.WordMin[w] = t
 		}
@@ -423,10 +496,10 @@ func (m *Model) retentionFull(rp *retProfile) *retProfile {
 // that it returns full=false — the scan should run through
 // RetentionLiteFlips, so a row's first long-idle sense (the common case:
 // a freshly-touched row on a long-running device, about to be
-// overwritten anyway) only pays for the bits it actually inspects. The
-// second scan promotes the row to the full tier, so rows that are
-// profiled repeatedly (the U-TRR retention side channel) get the
-// aggregate-gated fast path.
+// overwritten anyway) keeps no per-bit state at all. The second scan
+// promotes the row to the full tier, so rows that are profiled
+// repeatedly (the U-TRR retention side channel) get the aggregate-gated
+// fast path.
 func (m *Model) RetentionPlan(p *RowProfile) (sec, wordMin []float64, minSec float64, full bool) {
 	rp := m.retention(p)
 	rp.mu.Lock()
@@ -443,39 +516,112 @@ func (m *Model) RetentionPlan(p *RowProfile) (sec, wordMin []float64, minSec flo
 	return nil, nil, 0, false
 }
 
-// RetentionLiteFlips runs a lite-tier retention scan: it appends to dst
-// the bits that are charged under the row image data (LSB-first within
-// each byte; nil means the all-zero power-up pattern) and whose retention
-// time, scaled by tscale, is exceeded by elapsedSec — deriving and
-// memoizing the lognormal only for the charged bits it inspects. One
-// lock acquisition covers the whole scan.
-func (m *Model) RetentionLiteFlips(p *RowProfile, elapsedSec, tscale float64, data []byte, dst []int) []int {
-	rp := m.retention(p)
-	bits := m.cfg.Geometry.RowBits()
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	for i := 0; i < bits; i++ {
-		var v byte
-		if data != nil {
-			v = (data[i>>3] >> (uint(i) & 7)) & 1
-		}
-		if !Charged(p.IsTrue(i), v == 1) {
-			continue
-		}
-		if elapsedSec > m.retSecAt(rp, i)*tscale {
-			dst = append(dst, i)
-		}
+// retentionCut returns the hash-space screen of a retention scan at
+// elapsedSec under Arrhenius factor tscale: a bit whose 53-bit hash k
+// (h>>11) is below lo flips, one at or above hi survives, and only bits
+// in [lo, hi) need the exact math.
+//
+// Exactness: when elapsedSec <= FloorSec·tscale no retention time (each
+// clamped to at least FloorSec) can be exceeded. Otherwise the clamp
+// cannot change an outcome, and a bit flips exactly when its normal
+// variate z lies below zc = (l - log(MedianSec)) / Sigma, with l =
+// log(elapsedSec/tscale), up to rounding of order
+// 1e-15·(1+|l|+|log MedianSec|)/Sigma in z. The band is zc ± g, with g
+// screenGuard on that same scale (at least screenGuard, which covers
+// rng.Normal's non-monotonicity), and its ends are bisected in hash
+// space. Bisection leaves Normal(lo-1) < zc-g and Normal(hi) >= zc+g
+// evaluated, so every k < lo (k >= hi) lies below (above) the band by
+// the guard less the non-monotonicity. Degenerate parameters put every
+// bit in the band.
+func (m *Model) retentionCut(rp *retProfile, elapsedSec, tscale float64) (lo, hi uint64) {
+	r := m.cfg.Ret
+	if !(tscale > 0) || math.IsInf(tscale, 0) || !(r.Sigma > 0) {
+		return 0, hashSpace
 	}
-	return dst
+	if !(elapsedSec > r.FloorSec*tscale) {
+		return 0, 0
+	}
+	l := math.Log(elapsedSec / tscale)
+	zc := (l - rp.logMedian) / r.Sigma
+	g := screenGuard * (1 + (1+math.Abs(l)+math.Abs(rp.logMedian))/r.Sigma)
+	if math.IsInf(zc, 0) || math.IsNaN(zc) || math.IsInf(g, 0) {
+		return 0, hashSpace
+	}
+	lo = firstNormalAtLeast(zc-g, 0)
+	return lo, firstNormalAtLeast(zc+g, lo)
 }
 
-// RetentionAt returns bit i's retention time, memoized; bit-identical to
-// RetentionSec.
-func (m *Model) RetentionAt(p *RowProfile, i int) float64 {
+// firstNormalAtLeast bisects [from, 2^53] for the first 53-bit hash k
+// whose normal variate reaches z (2^53 when none does), treating
+// rng.Normal as monotone.
+func firstNormalAtLeast(z float64, from uint64) uint64 {
+	lo, hi := from, hashSpace
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if rng.Normal(mid<<11) >= z {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// rowWord returns 64-bit word w of a row image (LSB-first within each
+// byte, so bit i of the row is bit i%64 of word i/64); a nil image is the
+// all-zero power-up pattern.
+func rowWord(data []byte, w int) uint64 {
+	if data == nil {
+		return 0
+	}
+	lo := w << 3
+	if lo+8 <= len(data) {
+		return binary.LittleEndian.Uint64(data[lo:])
+	}
+	var v uint64
+	for j := lo; j < len(data); j++ {
+		v |= uint64(data[j]) << (8 * uint(j-lo))
+	}
+	return v
+}
+
+// RetentionLiteFlips runs a lite-tier retention scan: it appends to dst,
+// in ascending order, the bits that are charged under the row image data
+// (LSB-first within each byte; nil means the all-zero power-up pattern)
+// and whose retention time, scaled by tscale, is exceeded by elapsedSec.
+// Charged bits are found a word at a time and screened in hash space
+// (retentionCut): only those inside the guard band evaluate the
+// lognormal. The scan keeps no state and takes no lock.
+func (m *Model) RetentionLiteFlips(p *RowProfile, elapsedSec, tscale float64, data []byte, dst []int) []int {
 	rp := m.retention(p)
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	return m.retSecAt(rp, i)
+	lo, hi := m.retentionCut(rp, elapsedSec, tscale)
+	n := m.cfg.Geometry.RowBits()
+	for w, trueCells := range p.TrueCell {
+		// A cell is charged when it stores its true value: 1 in a true
+		// cell, 0 in an anti cell.
+		charged := ^(trueCells ^ rowWord(data, w))
+		if rest := n - w<<6; rest < 64 {
+			charged &= 1<<uint(rest) - 1
+		}
+		// Branch-free append: write every charged bit, keep it when it
+		// flips. k < lo flips ((k-lo)>>63, as k, lo < 2^54); a k in the
+		// band [lo, hi) takes the exact path, which is rare.
+		out := slices.Grow(dst, bits.OnesCount64(charged))
+		out = out[:cap(out)]
+		j := len(dst)
+		for ; charged != 0; charged &= charged - 1 {
+			i := w<<6 | bits.TrailingZeros64(charged)
+			h := rng.Mix64(rp.prefix ^ uint64(i))
+			k := h >> 11
+			out[j] = i
+			j += int((k - lo) >> 63)
+			if k-lo < hi-lo && elapsedSec > m.retSec(rp, h)*tscale {
+				j++
+			}
+		}
+		dst = out[:j]
+	}
+	return dst
 }
 
 // RetentionSec returns the retention time of one cell at the reference

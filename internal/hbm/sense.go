@@ -121,18 +121,23 @@ func (d *Device) disturbFlip(thr []float32, data, upData, downData []byte,
 	return disturb >= eff
 }
 
-// senseFast is the production sense path. It exploits three profile
+// senseFast is the production sense path. It exploits four profile
 // aggregates, none of which change the flip criterion:
 //
+//   - ThresholdFloor, a lower bound on every threshold in the row from one
+//     hash pass: a screen below it skips the disturbance pass without
+//     building the threshold tier.
 //   - ByThr, the ascending-threshold candidate index: the disturbance pass
 //     visits only bits whose threshold passes the quickThr screen, exiting
 //     at the first too-strong candidate. When the screen admits most of the
 //     row (extreme disturbance), it falls back to a word-ordered scan that
 //     skips whole 64-bit words via WordMinThr, preserving memory locality.
-//   - Cached retention times with per-word and per-row minima: when elapsed
-//     time cannot reach even the row's weakest cell, the retention pass
-//     vanishes; otherwise it skips whole words via their minima and
-//     compares cached floats instead of re-deriving lognormal variates.
+//   - Retention: a row's first scan screens charged bits in hash space
+//     (faultmodel.RetentionLiteFlips); later scans use cached times with
+//     per-word and per-row minima: when elapsed time cannot reach even the
+//     row's weakest cell, the retention pass vanishes; otherwise it skips
+//     whole words via their minima and compares cached floats instead of
+//     re-deriving lognormal variates.
 //   - Scratch reuse: candidate bits accumulate into a device-owned buffer,
 //     and ECC filtering runs on the sorted buffer without a map.
 func (d *Device) senseFast(b addr.BankAddr, bank *bankState, rs *rowState, physRow int,
@@ -142,8 +147,10 @@ func (d *Device) senseFast(b addr.BankAddr, bank *bankState, rs *rowState, physR
 	data := rs.data
 	flips := d.flipScratch[:0]
 
-	if distPass {
-		quickThr := disturb / (d.cfg.Fault.CouplingBoth * thrTemp)
+	// A screen below the row's threshold floor admits no bit, so such a
+	// sense never builds the threshold tier.
+	quickThr := disturb / (d.cfg.Fault.CouplingBoth * thrTemp)
+	if distPass && quickThr >= d.fm.ThresholdFloor(prof) {
 		thr, wordMin, byThr := d.fm.Thresholds(prof)
 		if n := len(byThr); n > 0 && float64(thr[byThr[0]]) <= quickThr {
 			upData, downData, hasUp, hasDown := d.neighbourData(bank, physRow)
@@ -216,9 +223,9 @@ func (d *Device) senseFast(b addr.BankAddr, bank *bankState, rs *rowState, physR
 				}
 			}
 		case !full:
-			// Lite tier: the model scans charge-first under one lock, so
-			// the lognormal retention time is only derived for charged
-			// bits (and memoized for later scans).
+			// Lite tier: the model finds charged bits a word at a time
+			// and screens them in hash space, deriving the lognormal
+			// retention time only inside the guard band.
 			flips = d.fm.RetentionLiteFlips(prof, elapsedSec, tscale, data, flips)
 		}
 	}

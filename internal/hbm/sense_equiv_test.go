@@ -172,6 +172,16 @@ func FuzzSenseEquivalence(f *testing.F) {
 	f.Add([]byte{2, 9, 0xA5, 0, 9, 60, 6, 9, 1, 0, 9, 60, 3, 9, 60}) // write, hammer, ECC on, hammer, read
 	f.Add([]byte{5, 0, 55, 8, 3, 200, 4, 3, 120, 3, 3, 77})          // cool, pressed hammer, idle, read
 	f.Add([]byte{7, 1, 1, 7, 1, 2, 0, 1, 90, 7, 1, 3})               // refreshes interleaved with hammering
+	// Victim disturbance just below (0.9985x) and just above (1.003x,
+	// 1.002x) the victim row's threshold floor, then a sense of the victim.
+	f.Add([]byte{0, 0, 83, 3, 0, 84})
+	f.Add([]byte{0, 0, 101, 3, 0, 102})
+	f.Add([]byte{2, 119, 40, 0, 119, 39, 3, 119, 40}) // written victim, 1.002x
+	// Long-idle senses of rows written with a mixed pattern beside
+	// never-written ones: mixed charged words through the lite retention
+	// scan, then the full tier on the second scan.
+	f.Add([]byte{2, 3, 60, 4, 3, 255, 3, 3, 60, 3, 3, 61, 4, 3, 120, 3, 3, 60})
+	f.Add([]byte{2, 6, 0xA5, 5, 6, 50, 4, 6, 200, 3, 6, 0xA5, 3, 6, 0xA4})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 60 {
 			script = script[:60] // bound per-input work

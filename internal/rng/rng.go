@@ -49,6 +49,22 @@ func Bool(h uint64, p float64) bool {
 	return Uniform01(h) < p
 }
 
+// BoolCut returns the integer form of Bool's test: for every hash h,
+// h>>11 < BoolCut(p) exactly when Bool(h, p). Uniform01 is h>>11 scaled
+// by the exact power of two 2^-53, so u < p is k < p·2^53 over the
+// 53-bit integer k, which for an integer is k < ceil(p·2^53). Bulk
+// draws compare integers instead of converting every hash to a float.
+func BoolCut(p float64) uint64 {
+	x := math.Ceil(p * (1 << 53))
+	switch {
+	case !(x > 0): // p <= 0 or NaN: Bool is never true
+		return 0
+	case x >= 1<<53:
+		return 1 << 53
+	}
+	return uint64(x)
+}
+
 // Normal maps a hash to a standard normal variate using the inverse CDF.
 // A single hash input keeps per-cell evaluation cheap and allocation-free.
 func Normal(h uint64) float64 {

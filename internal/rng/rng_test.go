@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -194,4 +195,99 @@ func BenchmarkLogNormal(b *testing.B) {
 		acc += LogNormal(uint64(i), 11, 1.1)
 	}
 	_ = acc
+}
+
+// TestBoolCutMatchesBool pins the integer form of Bool: h>>11 <
+// BoolCut(p) exactly when Bool(h, p), for hashes straddling the cut and
+// random ones, at the edge probabilities, the channel presets'
+// true-cell fractions, and their floating-point neighbours.
+func TestBoolCutMatchesBool(t *testing.T) {
+	base := []float64{0, 1, 0.5, 0.22, 0.24, 0.38, 0.40, 0.55, 0.57, 0.80, 0.85,
+		1e-300, -0.25, 1.5, math.NaN()}
+	var ps []float64
+	for _, p := range base {
+		ps = append(ps, p, math.Nextafter(p, math.Inf(-1)), math.Nextafter(p, math.Inf(1)))
+	}
+	s := NewStream(11)
+	for _, p := range ps {
+		cut := BoolCut(p)
+		for d := -3; d <= 3; d++ {
+			k := int64(cut) + int64(d)
+			if k < 0 || k >= 1<<53 {
+				continue
+			}
+			for _, low := range []uint64{0, 0x7FF} {
+				h := uint64(k)<<11 | low
+				if got, want := h>>11 < cut, Bool(h, p); got != want {
+					t.Fatalf("p=%v h=%#x: integer cut %v, Bool %v", p, h, got, want)
+				}
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			h := s.Next()
+			if got, want := h>>11 < cut, Bool(h, p); got != want {
+				t.Fatalf("p=%v h=%#x: integer cut %v, Bool %v", p, h, got, want)
+			}
+		}
+	}
+}
+
+// normalDropTol bounds how far Normal may fall below an earlier value
+// along ascending hashes. The fault model's hash-space screens widen
+// their cuts by a guard of 1e-6 in z, which must cover this.
+const normalDropTol = 1e-9
+
+// TestNormalMonotoneWithinGuard walks consecutive 53-bit hashes across
+// normInv's pLow/pHigh region seams, the 1e-12 clamps at both ends and
+// the centre, and random windows, and checks that Normal never drops
+// more than normalDropTol below its running maximum — the near-
+// monotonicity the screens' exactness argument rests on.
+func TestNormalMonotoneWithinGuard(t *testing.T) {
+	const span = 200_000
+	centres := []uint64{0, 1 << 52}
+	for _, p := range []float64{1e-12, 0.02425, 1 - 0.02425, 1 - 1e-12} {
+		centres = append(centres, uint64(p*(1<<53)))
+	}
+	s := NewStream(3)
+	for i := 0; i < 8; i++ {
+		centres = append(centres, s.Next()>>11)
+	}
+	centres = append(centres, 1<<53-1)
+	for _, c := range centres {
+		lo, hi := c, c+span
+		if c > span {
+			lo = c - span
+		}
+		if hi > 1<<53 {
+			hi = 1 << 53
+		}
+		max := math.Inf(-1)
+		for k := lo; k < hi; k++ {
+			z := Normal(k << 11)
+			if z < max-normalDropTol {
+				t.Fatalf("Normal(k=%d) = %v, %g below an earlier %v", k, z, max-z, max)
+			}
+			if z > max {
+				max = z
+			}
+		}
+	}
+	// Across windows: sorted random hashes, compared pairwise in order.
+	ks := make([]uint64, 100_000)
+	for i := range ks {
+		ks[i] = s.Next() >> 11
+	}
+	slices.Sort(ks)
+	max := math.Inf(-1)
+	for _, k := range ks {
+		z := Normal(k << 11)
+		if z < max-normalDropTol {
+			t.Fatalf("Normal(k=%d) = %v, below an earlier %v", k, z, max)
+		}
+		max = math.Max(max, z)
+	}
+	// The clamps: everything below 1e-12 (above 1-1e-12) maps to one value.
+	if Normal(0) != Normal(1<<11) || Normal(^uint64(0)) != Normal(^uint64(0)-1<<11) {
+		t.Fatal("Normal is not constant inside its clamps")
+	}
 }
